@@ -7,9 +7,10 @@ the terminal, bypassing pytest capture, so the tables land in
 pytest-benchmark.
 
 Benchmarks that track the perf trajectory across PRs additionally call
-the :func:`bench_export` fixture, which writes/merges a
-``BENCH_<name>.json`` summary -- by default at the repo root; pass
-``--bench-json DIR`` to redirect (CI uploads these as artifacts).
+the :func:`bench_export` fixture, which writes a ``BENCH_<name>.json``
+summary -- by default at the repo root; pass ``--bench-json DIR`` to
+redirect (CI uploads these as artifacts).  The first write to a file in
+a session starts it afresh; later writes in the same session merge.
 """
 
 from __future__ import annotations
@@ -34,34 +35,39 @@ def pytest_addoption(parser: pytest.Parser) -> None:
              "(default: the repo root)")
 
 
-@pytest.fixture
-def bench_export(request):
-    """Write (merge) a ``BENCH_<name>.json`` perf summary.
+class SummaryWriter:
+    """Writes the ``BENCH_<name>.json`` summaries of one pytest session.
 
-    ``bench_export(name, payload)`` merges ``payload``'s top-level keys
-    into any existing summary of the same name, so several tests can
-    contribute sections to one trajectory file regardless of run order.
-    Returns the path written.
+    The first :meth:`write` to a file in a session replaces whatever
+    an earlier run left there, so keys whose producer was deleted or
+    renamed never survive; later writes in the same session merge their
+    top-level keys in, so several tests can contribute sections to one
+    trajectory file regardless of run order.
 
     Every summary is stamped with the flat-snapshot schema version, so
     a trajectory diff across PRs can tell a perf regression from a
     format change; pass ``records``/``queries``/``engine`` keywords to
     stamp the workload shape and engine under test as well.
     """
-    def _export(name: str, payload: dict, *,
-                records: int | None = None,
-                queries: int | None = None,
-                engine: str | None = None) -> Path:
-        out_dir = request.config.getoption("--bench-json")
-        root = Path(out_dir) if out_dir else REPO_ROOT
-        root.mkdir(parents=True, exist_ok=True)
-        path = root / f"BENCH_{name}.json"
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self._started: set[Path] = set()
+
+    def write(self, name: str, payload: dict, *,
+              records: int | None = None,
+              queries: int | None = None,
+              engine: str | None = None) -> Path:
+        """Write (or merge into) ``BENCH_<name>.json``; returns its path."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        path = self.root / f"BENCH_{name}.json"
         merged: dict = {"bench": name}
-        if path.exists():
+        if path in self._started:
             try:
                 merged.update(json.loads(path.read_text(encoding="utf-8")))
             except json.JSONDecodeError:
                 pass    # a corrupt summary is overwritten, not fatal
+        self._started.add(path)
         merged.update(payload)
         merged["snapshot_schema_version"] = FLATSNAP_VERSION
         for key, value in (("records", records), ("queries", queries),
@@ -71,7 +77,13 @@ def bench_export(request):
         path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
         return path
-    return _export
+
+
+@pytest.fixture(scope="session")
+def bench_export(pytestconfig: pytest.Config):
+    """``bench_export(name, payload, **stamps)``: see :class:`SummaryWriter`."""
+    out_dir = pytestconfig.getoption("--bench-json")
+    return SummaryWriter(Path(out_dir) if out_dir else REPO_ROOT).write
 
 
 @pytest.fixture

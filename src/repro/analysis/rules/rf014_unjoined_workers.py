@@ -3,10 +3,9 @@
 A ``Thread`` nobody joins outlives the test that spawned it and fails
 some *other* test's assertion; a ``ProcessPoolExecutor`` nobody shuts
 down leaks OS processes until the interpreter dies -- on the ingest
-path that is one leaked pool per server restart.  The persistent query
-pool (``shard/pool.py``) is the house pattern: the executor is bound
-to an attribute at creation, and ``close()`` (plus the restart path)
-shuts it down.
+path that is one leaked pool per server restart.  The accepted pattern
+binds the executor to an attribute at creation and shuts it down in
+``close()``.
 
 The model records three worker lifecycle facts per function body:
 *create* (a ``Thread``/``Timer``/``ThreadPoolExecutor``/
@@ -24,7 +23,7 @@ itself).  The rule then demands:
   suppression naming the owner);
 * a **``self.``-bound** worker must be released by *some* method of
   the same class -- creation in ``__init__`` or a restart helper,
-  release in ``close()``, matches the house pattern.
+  release in ``close()``, matches the accepted pattern.
 """
 
 from __future__ import annotations

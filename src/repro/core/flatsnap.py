@@ -3,11 +3,11 @@
 A :class:`~repro.core.index.PackedFoVIndex` is eleven parallel arrays
 (seven record columns, ``key_rank``, and the three CSR grid arrays)
 plus a handful of grid scalars.  This module lays all of them out in
-**one** contiguous buffer so that a consumer in another process -- a
-persistent pool worker attaching shared memory, or a loader mmapping a
-``.fovpack`` sidecar file -- reconstructs the snapshot with
-``np.frombuffer`` views into that buffer: no per-worker record-set
-copy, no grid rebuild, O(1) attach time in record count.
+**one** contiguous buffer so that a consumer -- a loader mmapping a
+``.fovpack`` sidecar file, or a shard promoting its warm standby --
+reconstructs the snapshot with ``np.frombuffer`` views into that
+buffer: no record-set copy, no grid rebuild, O(1) attach time in
+record count.
 
 Layout (version 1)::
 
@@ -27,13 +27,12 @@ Integrity follows the ``net/protocol.py`` v2 conventions: an explicit
 total length (truncation reports as truncation, not a shape error) and
 a CRC32 over the whole buffer minus the CRC field itself, stored at a
 fixed offset inside the header.  Verification is optional on attach
-(``verify=False``): a shared-memory segment published and checksummed
-by the parent process moments earlier does not need an O(bytes) rescan
-in every worker -- that would defeat the O(1) attach -- while files
-coming off disk are always verified.
+(``verify=False``): a buffer this process packed moments earlier does
+not need an O(bytes) rescan, while files coming off disk are always
+verified.
 
 The arrays in the returned snapshot are marked read-only: they alias a
-buffer other processes may map, and the packed view is frozen by
+buffer that may be a file mapping, and the packed view is frozen by
 contract.
 """
 
@@ -145,13 +144,13 @@ def _attach(buf, dtype, count: int, offset: int, nbytes: int) -> np.ndarray:
 def unpack_snapshot(buf, *, verify: bool = True) -> PackedFoVIndex:
     """Attach a :class:`PackedFoVIndex` over a flat snapshot buffer.
 
-    ``buf`` may be ``bytes``, a ``memoryview``, an ``mmap``, or a
-    shared-memory buffer; every column becomes an ``np.frombuffer``
-    view into it (nothing is copied), so the returned snapshot keeps
+    ``buf`` may be ``bytes``, a ``memoryview`` or an ``mmap``; every
+    column becomes an ``np.frombuffer`` view into it (nothing is
+    copied), so the returned snapshot keeps
     ``buf`` alive and attaching is O(1) in record count -- except the
     optional CRC verification, which is O(bytes) and should be skipped
     (``verify=False``) only when the buffer's integrity is already
-    guaranteed, e.g. a shared-memory segment the parent just published.
+    guaranteed, e.g. a buffer this process just packed.
 
     Raises ``ValueError`` on bad magic, unsupported version,
     truncation, trailing bytes, a CRC mismatch, or an incoherent
@@ -172,8 +171,8 @@ def unpack_snapshot(buf, *, verify: bool = True) -> PackedFoVIndex:
         raise ValueError(
             f"flat snapshot truncated: got {len(mv)} of {total} bytes")
     if len(mv) > total:
-        # A shared-memory segment may round its size up to a page; only
-        # the declared span is the snapshot.
+        # A mapping may round its size up to a page; only the declared
+        # span is the snapshot.
         mv = mv[:total]
     if verify:
         actual = zlib.crc32(mv[_CRC_END:], zlib.crc32(mv[:_CRC_OFF]))

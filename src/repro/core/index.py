@@ -85,7 +85,7 @@ class _ColumnRecords(Sequence):
     Zero-copy consumers (flat snapshot attach, docs/PERFORMANCE.md)
     reconstruct columns without ever holding Python record objects;
     this sequence materialises a :class:`RepresentativeFoV` only when a
-    ranked result actually needs one, so attaching a shared snapshot
+    ranked result actually needs one, so attaching a flat snapshot
     stays O(1) in record count.
     """
 
@@ -207,9 +207,10 @@ class PackedFoVIndex:
         """Assemble a snapshot directly from columns (zero-copy attach).
 
         Used by the flat snapshot codec (:mod:`repro.core.flatsnap`):
-        the columns and grid typically view a shared buffer, nothing is
-        copied, and ``records`` materialises objects lazily -- so this
-        constructor is O(1) in record count.  ``tree`` is ``None``; all
+        the columns and grid typically view a packed buffer or a
+        ``.fovpack`` file mapping, nothing is copied, and ``records``
+        materialises objects lazily -- so this constructor is O(1) in
+        record count.  ``tree`` is ``None``; all
         range searches go through the grid.
         """
         view = cls.__new__(cls)

@@ -414,7 +414,8 @@ class CloudServer:
     def _wal_append(self, payloads: list[bytes]) -> None:
         """Make a commit group's accepted payloads durable: buffered
         appends, then exactly one fsync."""
-        assert self.wal is not None
+        if self.wal is None:
+            raise RuntimeError("WAL append on a server without a WAL")
         for payload in payloads:
             self.wal.append(payload)
             self.stats._wal_appends.inc()
@@ -519,7 +520,10 @@ class CloudServer:
             for pos in range(admitted, len(payloads)):
                 outcomes[pos] = self._shed_outcome(payloads[pos])
             done = [o for o in outcomes if o is not None]
-            assert len(done) == len(payloads)
+            if len(done) != len(payloads):
+                raise RuntimeError(
+                    f"commit group produced {len(done)} outcomes for "
+                    f"{len(payloads)} payloads")
             return done
 
     def replay_wal(self, path: "str | None" = None) -> int:
@@ -599,18 +603,17 @@ class CloudServer:
             self._cache.put(key, epoch, result)
             return result
 
-    def query_many(self, queries: list[Query],
-                   shards: int | None = None) -> list[QueryResult]:
+    def query_many(self, queries: list[Query]) -> list[QueryResult]:
         """Answer a batch of queries (see RetrievalEngine.execute_many).
 
         Cached hits are merged in place; only the misses reach the
-        engine's (batched, optionally process-sharded) funnel.
+        engine's batched funnel.
         """
         batch = list(queries)
         with self.obs.tracer.span("server.query_many", batch=len(batch)):
             self.stats._queries.inc(len(batch))
             if self._cache is None:
-                return self.engine.execute_many(batch, shards=shards)
+                return self.engine.execute_many(batch)
             epoch = self.index.epoch
             results: list[QueryResult | None] = []
             misses: list[Query] = []
@@ -626,7 +629,7 @@ class CloudServer:
                     misses.append(q)
                     miss_pos.append(i)
             if misses:
-                answered = self.engine.execute_many(misses, shards=shards)
+                answered = self.engine.execute_many(misses)
                 for i, result in zip(miss_pos, answered):
                     results[i] = result
                     self._cache.put(query_cache_key(batch[i]), epoch, result)
@@ -694,8 +697,10 @@ class CloudServer:
         return self.index.records()
 
     def close(self) -> None:
-        """Release engine-held resources (the persistent shard pool)."""
-        self.engine.close()
+        """No-op: the server holds nothing that needs releasing.
+
+        Kept so callers can tear down either server kind the same way.
+        """
 
     @property
     def indexed_count(self) -> int:

@@ -2,9 +2,9 @@
 
 Each shard of a :class:`~repro.shard.server.ShardedCloudServer` can
 keep one **warm standby**: the shard's frozen columnar view packed
-into the same flat ``FOVPACK1`` buffer the republish pool ships to its
-zero-copy workers (:meth:`ShardedCloudServer.capture_shard`), plus a
-small manifest pinning what the buffer must contain.  A standby that
+into the same flat ``FOVPACK1`` buffer a ``.fovpack`` sidecar holds
+(:meth:`ShardedCloudServer.capture_shard`), plus a small manifest
+pinning what the buffer must contain.  A standby that
 re-syncs after every commit group is always one epoch behind at most
 -- and because writes are refused fleet-wide while a primary is absent
 (fail-stop, :class:`~repro.shard.server.ShardUnavailableError`), "at

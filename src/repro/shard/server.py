@@ -264,9 +264,9 @@ class ShardedCloudServer:
     def capture_shard(self, sid: int) -> tuple[int, bytes]:
         """``(epoch, FOVPACK1 buffer)`` of shard ``sid``'s frozen view.
 
-        The same flat packed segment the republish pool ships to its
-        workers (:mod:`repro.core.flatsnap`), so a warm standby holds
-        exactly what a zero-copy reader would attach.  The view is
+        The same flat packed buffer a ``.fovpack`` sidecar holds
+        (:mod:`repro.core.flatsnap`), so a warm standby holds exactly
+        what a zero-copy reader would attach.  The view is
         snapped under the shard lock; serialisation happens outside it
         (the view is immutable).
         """
@@ -425,7 +425,8 @@ class ShardedCloudServer:
 
     def _wal_append(self, payloads: list[bytes]) -> None:
         """Buffered appends plus exactly one fsync for a commit group."""
-        assert self.wal is not None
+        if self.wal is None:
+            raise RuntimeError("WAL append on a router without a WAL")
         for payload in payloads:
             self.wal.append(payload)
             self.stats._wal_appends.inc()
@@ -567,7 +568,10 @@ class ShardedCloudServer:
             for pos in range(admitted, len(payloads)):
                 outcomes[pos] = self._shed_outcome(payloads[pos])
             done = [o for o in outcomes if o is not None]
-            assert len(done) == len(payloads)
+            if len(done) != len(payloads):
+                raise RuntimeError(
+                    f"commit group produced {len(done)} outcomes for "
+                    f"{len(payloads)} payloads")
             return done
 
     def replay_wal(self, path: "str | None" = None) -> int:
@@ -740,7 +744,7 @@ class ShardedCloudServer:
             return result
 
     def close(self) -> None:
-        """Release per-shard engine resources (idempotent)."""
-        for sid in range(self.n_shards):
-            with self._locks[sid]:
-                self.shards[sid].close()
+        """No-op: the router and its shards hold nothing to release.
+
+        Kept so callers can tear down either server kind the same way.
+        """

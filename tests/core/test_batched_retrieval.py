@@ -1,10 +1,10 @@
-"""Packed-engine parity, batching, sharding, and clock injection.
+"""Packed-engine parity, batching, and clock injection.
 
 The packed engine's whole contract is "identical results, faster":
 these tests pin the bit-identical half of it on seeded workloads, for
-single queries, batched ``execute_many``, and the process-sharded
-fan-out; plus the injectable-clock determinism and the mask-first
-ranking invariant.
+single queries and batched ``execute_many`` (including batches after
+each kind of index mutation); plus the injectable-clock determinism
+and the mask-first ranking invariant.
 """
 
 import numpy as np
@@ -72,13 +72,35 @@ class TestPackedParity:
         for got, q in zip(pck.execute_many(queries), queries):
             assert_same(got, dyn.execute(q))
 
-    def test_sharded_matches_sequential(self):
+    @pytest.mark.parametrize("between", ["wide", "insert", "delete",
+                                         "evict"])
+    def test_next_batch_matches_dynamic(self, between):
+        """A batch answers from the index as it is now.
+
+        One engine answers a first batch, then the index is mutated
+        (or the next batch is a wide one: many large-radius queries),
+        and the next batch must match a dynamic engine's answers.
+        """
         index, queries = workload(17, 1500, 32)
         pck = RetrievalEngine(index, CAMERA, engine="packed")
-        sharded = pck.execute_many(queries, shards=2)
-        assert len(sharded) == len(queries)
-        for got, q in zip(sharded, queries):
-            assert_same(got, pck.execute(q))
+        first = pck.execute_many(queries)
+        if between == "wide":
+            _, queries = workload(17, 1500, 512, radius_hi=2000.0)
+        elif between == "insert":
+            index.insert_many(random_representative_fovs(
+                40, np.random.default_rng(77)))
+        elif between == "delete":
+            # A record the first batch returned, so a stale view shows.
+            assert index.delete(next(r.ranked[0].fov for r in first
+                                     if r.ranked))
+        else:
+            cutoff = float(np.median([r.t_end for r in index.records()]))
+            assert index.evict_older_than(cutoff) > 0
+        dyn = RetrievalEngine(index, CAMERA)
+        batched = pck.execute_many(queries)
+        assert len(batched) == len(queries)
+        for got, q in zip(batched, queries):
+            assert_same(got, dyn.execute(q))
 
     def test_packed_tracks_mutations_via_epoch(self):
         index, queries = workload(19, 400, 8)
@@ -94,8 +116,8 @@ class TestPackedParity:
     def test_packed_invalidated_by_delete_and_evict(self):
         """Non-incremental mutations must invalidate the packed view.
 
-        The zero-copy serving story (flat snapshots, pool republish)
-        hangs off the epoch: a delete or retention eviction bumps it,
+        The packed read path hangs off the epoch: a delete or
+        retention eviction bumps it,
         so the next packed read rebuilds instead of serving a stale
         snapshot containing the removed records.
         """

@@ -17,6 +17,8 @@ from repro.core.server import IngestStatus
 from repro.core.wal import WriteAheadLog
 from repro.net.channel import FaultProfile, FaultyChannel, RetryPolicy
 from repro.net.protocol import encode_bundle
+from repro.shard import ShardedCloudServer
+from repro.traces.scenarios import CITY_ORIGIN
 
 
 def bundle(vid="vid-x", n=5, lat=40.0):
@@ -210,3 +212,17 @@ class TestBackPressure:
         server._admission.release()
         assert server.ingest_bundle(bundle("v")).status is \
             IngestStatus.ACCEPTED
+
+    @pytest.mark.parametrize("make", [
+        lambda cam: CloudServer(cam, admission_capacity=1),
+        lambda cam: ShardedCloudServer(cam, n_shards=2, origin=CITY_ORIGIN,
+                                       admission_capacity=1),
+    ], ids=["server", "router"])
+    def test_missing_outcome_is_a_runtime_error(self, camera, monkeypatch,
+                                                make):
+        # The one-outcome-per-payload invariant is a real error, not an
+        # assert that ``python -O`` would strip.
+        server = make(camera)
+        monkeypatch.setattr(server, "_shed_outcome", lambda payload: None)
+        with pytest.raises(RuntimeError, match="outcomes"):
+            server.ingest_batch([bundle("a"), bundle("b")])
