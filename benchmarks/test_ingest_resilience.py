@@ -26,6 +26,7 @@ Numbers land in ``BENCH_ingest_path.json`` for the perf trajectory.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import defaultdict
 
@@ -54,6 +55,9 @@ def corpus():
 
 
 def _timed(fn, *args):
+    # Collect first so garbage from earlier sections (their servers
+    # stay alive) is not charged to this one.
+    gc.collect()
     t0 = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - t0
@@ -88,9 +92,7 @@ def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
                                          corrupt_rate=0.05), seed=0)
     uploader = faulty.make_uploader(channel,
                                     policy=RetryPolicy(max_attempts=40))
-    t0 = time.perf_counter()
-    receipts = [uploader.upload(p) for p in v2]
-    t_faulty = time.perf_counter() - t0
+    receipts, t_faulty = _timed(lambda: [uploader.upload(p) for p in v2])
     assert all(r.accepted for r in receipts)
     assert faulty.indexed_count == server.indexed_count
     assert faulty.stats.bundles_rejected == channel.stats.corrupted
@@ -101,10 +103,7 @@ def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
                 for i in range(0, len(payloads), GROUP)]
 
     batched = CloudServer(camera)
-    t0 = time.perf_counter()
-    for group in groups(v2):
-        batched.ingest_batch(group)
-    t_batch = time.perf_counter() - t0
+    _, t_batch = _timed(lambda: [batched.ingest_batch(g) for g in groups(v2)])
     assert batched.index.content_digest() == server.index.content_digest()
     assert t_ingest >= 10.0 * t_batch, (
         f"batched ingest gate: {t_ingest:.3f}s sequential vs "
@@ -115,10 +114,7 @@ def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
 
     wal = WriteAheadLog(tmp_path / "bench.wal")
     durable = CloudServer(camera, wal=wal)
-    t0 = time.perf_counter()
-    for group in groups(v2):
-        durable.ingest_batch(group)
-    t_wal = time.perf_counter() - t0
+    _, t_wal = _timed(lambda: [durable.ingest_batch(g) for g in groups(v2)])
     wal.close()
     assert durable.index.content_digest() == server.index.content_digest()
     recovered = CloudServer(camera)

@@ -40,7 +40,7 @@ def main() -> None:
     server.engine.index = server.index
     for rec in city.recordings:
         server.register_client(city.clients[rec.device_id])
-        server._owners[rec.video_id] = rec.device_id
+        server._pipeline.owners[rec.video_id] = rec.device_id
 
     stats = tree_stats(server.index._index)
     print(f"  index: {stats.size} segments, R-tree height {stats.height}, "

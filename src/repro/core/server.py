@@ -6,48 +6,32 @@ filter/rank retrieval, and -- when an inquirer picks a result -- asks
 the owning client for exactly that segment, accounting the bytes moved.
 
 The ingest path assumes a hostile, at-least-once network
-(``docs/PROTOCOL.md``): every bundle is validated end to end before a
-single record is indexed (all-or-nothing), byte-identical redeliveries
-are deduplicated by content digest into exactly-once indexing, and
-rejected payloads land in a bounded
-:class:`~repro.core.quarantine.QuarantineStore` with their rejection
-reason instead of vanishing.
-
-Three streaming-ingest extensions (``docs/PROTOCOL.md``):
-
-* :meth:`CloudServer.ingest_batch` commits a whole group of delivered
-  bundles at once -- vectorised decode, one WAL fsync, one index
-  insert (one epoch bump) -- with per-bundle outcomes identical to
-  offering the bundles one at a time.
-* An optional :class:`~repro.core.wal.WriteAheadLog` makes accepted
-  payloads durable *before* they are indexed;
-  :meth:`CloudServer.replay_wal` recovers them after a crash
-  (idempotent via the digest dedup).
-* An optional :class:`~repro.core.ingest.AdmissionQueue` caps
-  in-flight bundles; the excess is ``SHED`` -- a retryable ack the
-  uploader backoff already understands.
+(``docs/PROTOCOL.md``) and is the shared
+:class:`~repro.core.ingest.IngestPipeline`: every bundle is validated
+end to end before a single record is indexed (all-or-nothing),
+byte-identical redeliveries are deduplicated by content digest into
+exactly-once indexing, rejected payloads land in a bounded
+:class:`~repro.core.quarantine.QuarantineStore` with their reason, an
+optional :class:`~repro.core.wal.WriteAheadLog` makes accepted payloads
+durable before they are indexed (:meth:`CloudServer.replay_wal`
+recovers them), and optional admission control sheds excess load with
+a retryable ``SHED`` ack.  This server's sink is one ``insert_many``
+per commit group (one epoch bump).
 """
 
 from __future__ import annotations
-
-import hashlib
-from dataclasses import dataclass
-from enum import Enum
 
 from repro.core.cache import QueryResultCache, query_cache_key
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex
-from repro.core.ingest import AdmissionQueue
+from repro.core.ingest import IngestOutcome, IngestPipeline, IngestStatus
 from repro.core.pipeline import ClientPipeline, StoredSegment
 from repro.core.quarantine import QuarantineStore
 from repro.core.query import Query, QueryResult
 from repro.core.retrieval import RetrievalEngine
-from repro.core.wal import ENTRY_OVERHEAD, WriteAheadLog
-from repro.core.wal import replay as wal_replay
+from repro.core.wal import WriteAheadLog
 from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
-from repro.net.protocol import BundleColumns, decode_bundle, \
-    decode_bundle_columns
 from repro.net.traffic import TrafficModel, VideoProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability
@@ -56,28 +40,6 @@ from repro.video.retrieval import VideoQuery, VideoQueryResult, \
     VideoQueryStats, retrieve_videos
 
 __all__ = ["CloudServer", "IngestOutcome", "IngestStatus", "ServerStats"]
-
-
-class IngestStatus(Enum):
-    """What happened to one delivered bundle."""
-
-    ACCEPTED = "accepted"
-    DUPLICATE = "duplicate"
-    REJECTED = "rejected"
-    #: Refused admission by back-pressure; retryable (the uploader
-    #: backs off and re-offers), unlike the terminal ``REJECTED``.
-    SHED = "shed"
-
-
-@dataclass(frozen=True)
-class IngestOutcome:
-    """The ingest path's acknowledgement for one delivered payload."""
-
-    status: IngestStatus
-    records_indexed: int
-    digest: str
-    video_id: str | None = None
-    reason: str | None = None
 
 
 class ServerStats:
@@ -323,11 +285,11 @@ class CloudServer:
             if cache_size > 0 else None
         )
         self._clients: dict[str, ClientPipeline] = {}
-        self._owners: dict[str, str] = {}  # video_id -> device_id
-        self._seen_digests: set[str] = set()
         self.wal = wal
-        self._admission = (AdmissionQueue(admission_capacity)
-                           if admission_capacity is not None else None)
+        self._pipeline = IngestPipeline(
+            self.stats, self.obs.journal, self.quarantine, self.ingest,
+            lambda n: self.obs.tracer.span("server.ingest_batch", batch=n),
+            wal=wal, admission_capacity=admission_capacity)
 
     def _sync_index_gauges(self, cause: str) -> None:
         """Refresh the live-population and epoch gauges after a mutation,
@@ -349,79 +311,16 @@ class CloudServer:
                       device_id: str | None = None) -> IngestOutcome:
         """Ingest one delivered bundle; never raises on bad payloads.
 
-        The at-least-once ack path: when back-pressure is configured
-        and saturated the payload is ``SHED`` untouched (retryable); a
-        malformed or corrupt payload is quarantined and ``REJECTED``;
-        a byte-identical redelivery of an already-indexed bundle is
-        acknowledged ``DUPLICATE`` without touching the index
-        (exactly-once indexing); otherwise every record is validated
-        before any is indexed, the payload is made durable in the WAL
-        (when configured), the whole bundle lands atomically via
-        ``insert_many`` (one epoch bump), and the outcome is
-        ``ACCEPTED``.
+        A commit group of one: exactly ``ingest_batch([payload],
+        [device_id])[0]``, counters, journal and quarantine included.
+        The ack is ``SHED`` under saturated back-pressure (retryable),
+        ``REJECTED`` for a malformed or corrupt payload (quarantined),
+        ``DUPLICATE`` for a byte-identical redelivery of an indexed
+        bundle (exactly-once indexing), and otherwise ``ACCEPTED`` once
+        the bundle is durable (with a WAL) and indexed atomically.
         """
         with self.obs.tracer.span("server.ingest_bundle", bytes=len(payload)):
-            if self._admission is not None and not self._admission.try_admit():
-                return self._shed_outcome(payload)
-            try:
-                return self._ingest_one(payload, device_id)
-            finally:
-                if self._admission is not None:
-                    self._admission.release()
-
-    def _shed_outcome(self, payload: bytes) -> IngestOutcome:
-        digest = hashlib.sha256(payload).hexdigest()
-        self.stats._shed.inc()
-        self.obs.journal.emit("ingest.shed", digest=digest)
-        return IngestOutcome(status=IngestStatus.SHED,
-                             records_indexed=0, digest=digest,
-                             reason="admission queue full")
-
-    def _ingest_one(self, payload: bytes,
-                    device_id: str | None) -> IngestOutcome:
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest in self._seen_digests:
-            self.stats._duplicated.inc()
-            self.obs.journal.emit("ingest.duplicate", digest=digest)
-            return IngestOutcome(status=IngestStatus.DUPLICATE,
-                                 records_indexed=0, digest=digest)
-        try:
-            video_id, fovs = decode_bundle(payload)
-        except ValueError as exc:
-            self.stats._rejected.inc()
-            self.quarantine.add(payload, str(exc))
-            self.obs.journal.emit("ingest.rejected", digest=digest,
-                                  reason=str(exc))
-            return IngestOutcome(status=IngestStatus.REJECTED,
-                                 records_indexed=0, digest=digest,
-                                 reason=str(exc))
-        if self.wal is not None:
-            self._wal_append([payload])
-        n = self.index.insert_many(fovs)
-        self._seen_digests.add(digest)
-        if device_id is not None:
-            self._owners[video_id] = device_id
-        self.stats._accepted.inc()
-        self.stats._records_indexed.inc(n)
-        self.stats._bytes_in.inc(len(payload))
-        self._sync_index_gauges("ingest")
-        self.obs.journal.emit("ingest.accepted", digest=digest,
-                              video_id=video_id, records=n)
-        return IngestOutcome(status=IngestStatus.ACCEPTED,
-                             records_indexed=n, digest=digest,
-                             video_id=video_id)
-
-    def _wal_append(self, payloads: list[bytes]) -> None:
-        """Make a commit group's accepted payloads durable: buffered
-        appends, then exactly one fsync."""
-        if self.wal is None:
-            raise RuntimeError("WAL append on a server without a WAL")
-        for payload in payloads:
-            self.wal.append(payload)
-            self.stats._wal_appends.inc()
-            self.stats._wal_bytes.inc(len(payload) + ENTRY_OVERHEAD)
-        self.wal.commit()
-        self.stats._wal_syncs.inc()
+            return self.ingest_batch([payload], [device_id])[0]
 
     def ingest_batch(self, payloads: list[bytes],
                      device_ids: list[str | None] | None = None,
@@ -431,100 +330,15 @@ class CloudServer:
         Per-bundle outcomes (and the final index content, dedup state,
         owners, and quarantine) are identical to calling
         :meth:`ingest_bundle` on each payload in order; what changes is
-        the amortisation: decode is vectorised per bundle, the WAL is
-        fsynced once for the whole group, and all accepted records land
-        in a single ``insert_many`` -- one epoch bump and one
-        cache/packed-view invalidation per *group* instead of per
-        bundle.  Under back-pressure the group is partially admitted in
-        order: the first ``capacity - in_flight`` bundles proceed, the
-        tail is ``SHED`` for the uploader to re-offer.
+        the amortisation: the WAL is fsynced once for the whole group,
+        and all accepted records land in a single ``insert_many`` --
+        one epoch bump and one cache/packed-view invalidation per
+        *group* instead of per bundle.  Under back-pressure the group
+        is partially admitted in order: the first ``capacity -
+        in_flight`` bundles proceed, the tail is ``SHED`` for the
+        uploader to re-offer.
         """
-        outcomes = self._ingest_group(payloads, device_ids,
-                                      durable=self.wal is not None,
-                                      admit=True)
-        return outcomes
-
-    def _ingest_group(self, payloads: list[bytes],
-                      device_ids: list[str | None] | None,
-                      *, durable: bool, admit: bool,
-                      replaying: bool = False) -> list[IngestOutcome]:
-        if device_ids is None:
-            device_ids = [None] * len(payloads)
-        if len(device_ids) != len(payloads):
-            raise ValueError("device_ids must match payloads one to one")
-        with self.obs.tracer.span("server.ingest_batch",
-                                  batch=len(payloads)):
-            admitted = len(payloads)
-            if admit and self._admission is not None:
-                admitted = self._admission.try_admit(len(payloads))
-            try:
-                outcomes: list[IngestOutcome | None] = [None] * len(payloads)
-                group: list[tuple[int, str, str | None, bytes,
-                                  BundleColumns]] = []
-                group_digests: set[str] = set()
-                for pos, (payload, dev) in enumerate(
-                        zip(payloads[:admitted], device_ids[:admitted])):
-                    digest = hashlib.sha256(payload).hexdigest()
-                    if digest in self._seen_digests or digest in group_digests:
-                        self.stats._duplicated.inc()
-                        self.obs.journal.emit("ingest.duplicate",
-                                              digest=digest)
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.DUPLICATE,
-                            records_indexed=0, digest=digest)
-                        continue
-                    try:
-                        columns = decode_bundle_columns(payload)
-                    except ValueError as exc:
-                        self.stats._rejected.inc()
-                        self.quarantine.add(payload, str(exc))
-                        self.obs.journal.emit("ingest.rejected",
-                                              digest=digest,
-                                              reason=str(exc))
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.REJECTED,
-                            records_indexed=0, digest=digest,
-                            reason=str(exc))
-                        continue
-                    group_digests.add(digest)
-                    group.append((pos, digest, dev, payload, columns))
-                if group:
-                    if durable:
-                        self._wal_append([p for _, _, _, p, _ in group])
-                    merged: list[RepresentativeFoV] = []
-                    for _, _, _, _, columns in group:
-                        merged.extend(columns.records())
-                    self.index.insert_many(merged)
-                    for pos, digest, dev, payload, columns in group:
-                        n = len(columns)
-                        self._seen_digests.add(digest)
-                        if dev is not None:
-                            self._owners[columns.video_id] = dev
-                        self.stats._accepted.inc()
-                        self.stats._records_indexed.inc(n)
-                        self.stats._bytes_in.inc(len(payload))
-                        if replaying:
-                            self.stats._wal_replayed.inc()
-                        self.obs.journal.emit("ingest.accepted",
-                                              digest=digest,
-                                              video_id=columns.video_id,
-                                              records=n)
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.ACCEPTED,
-                            records_indexed=n, digest=digest,
-                            video_id=columns.video_id)
-                    self._sync_index_gauges("ingest")
-            finally:
-                if admit and self._admission is not None and admitted:
-                    self._admission.release(admitted)
-            for pos in range(admitted, len(payloads)):
-                outcomes[pos] = self._shed_outcome(payloads[pos])
-            done = [o for o in outcomes if o is not None]
-            if len(done) != len(payloads):
-                raise RuntimeError(
-                    f"commit group produced {len(done)} outcomes for "
-                    f"{len(payloads)} payloads")
-            return done
+        return self._pipeline.run(payloads, device_ids)
 
     def replay_wal(self, path: "str | None" = None) -> int:
         """Recover bundles from a write-ahead log after a crash.
@@ -536,18 +350,7 @@ class CloudServer:
         bundles were recovered (newly indexed).  Back-pressure does not
         apply to recovery.
         """
-        if path is None:
-            if self.wal is None:
-                raise ValueError("no WAL configured and no path given")
-            path = self.wal.path
-        payloads = wal_replay(path)
-        outcomes = self._ingest_group(payloads, None, durable=False,
-                                      admit=False, replaying=True)
-        recovered = sum(1 for o in outcomes
-                        if o.status is IngestStatus.ACCEPTED)
-        self.obs.journal.emit("ingest.wal_replay", offered=len(payloads),
-                              recovered=recovered)
-        return recovered
+        return self._pipeline.replay(path)
 
     def receive_bundle(self, payload: bytes, device_id: str | None = None) -> int:
         """Ingest one upload bundle; returns the number of records indexed.
@@ -569,16 +372,14 @@ class CloudServer:
         Retransmissions are counted into ``stats.bundles_retried`` so
         the operator sees the at-least-once traffic the channel cost.
         """
-        def _on_retry() -> None:
-            self.stats._retried.inc()
-
-        return RetryingUploader(channel, self.ingest_bundle, policy=policy,
-                                on_retry=_on_retry,
-                                registry=self.obs.registry,
-                                journal=self.obs.journal)
+        return self._pipeline.uploader(channel, self.ingest_bundle, policy)
 
     def ingest(self, fovs: list[RepresentativeFoV]) -> int:
-        """Directly index already-decoded records (dataset loading)."""
+        """Directly index already-decoded records (dataset loading).
+
+        Also the ingest pipeline's sink: one ``insert_many`` (one epoch
+        bump), then the population and epoch gauges.
+        """
         n = self.index.insert_many(fovs)
         self.stats._records_indexed.inc(n)
         self._sync_index_gauges("ingest")
@@ -670,7 +471,7 @@ class CloudServer:
         This is the only step that moves video-scale bytes, and only
         for segments an inquirer actually selected.
         """
-        device_id = self._owners.get(fov.video_id)
+        device_id = self._pipeline.owners.get(fov.video_id)
         if device_id is None or device_id not in self._clients:
             raise KeyError(f"no registered owner for video {fov.video_id!r}")
         segment = self._clients[device_id].fetch_segment(fov.video_id, fov.segment_id)

@@ -23,18 +23,19 @@
 
 Thread safety: each shard has its own lock serialising index access
 (a bundle's records land in a shard atomically -- ``insert_many`` is
-one epoch bump), the digest/owner maps sit behind an ingest lock, and
-the (not internally thread-safe) result cache behind a cache lock.
+one epoch bump), the digest/owner maps sit behind the shared
+:class:`~repro.core.ingest.IngestPipeline`'s lock, the down-shard set
+behind an ingest lock, and the (not internally thread-safe) result
+cache behind a cache lock.
 Metric increments are already thread-safe per family.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import threading
 from itertools import islice
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,17 +44,15 @@ from repro.core.cache import QueryResultCache, query_cache_key
 from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import query_box
-from repro.core.ingest import AdmissionQueue
+from repro.core.ingest import IngestPipeline
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.quarantine import QuarantineStore
-from repro.core.server import CloudServer, IngestOutcome, IngestStatus, ServerStats
-from repro.core.wal import ENTRY_OVERHEAD, WriteAheadLog
-from repro.core.wal import replay as wal_replay
+from repro.core.server import CloudServer, IngestOutcome, ServerStats
+from repro.core.wal import WriteAheadLog
 from repro.geo.coords import GeoPoint
 from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
 from repro.net.clock import default_timer
-from repro.net.protocol import BundleColumns, decode_bundle, \
-    decode_bundle_columns
+from repro.net.protocol import decode_bundle_columns
 from repro.obs.runtime import Observability
 from repro.shard.partition import DEFAULT_CELL_M, GridPartitioner
 from repro.spatial.rtree import RTreeConfig
@@ -157,15 +156,18 @@ class ShardedCloudServer:
         self._ingest_lock = threading.Lock()
         self._down: frozenset[int] = frozenset()
         self._cache_lock = threading.Lock()
-        self._seen_digests: set[str] = set()
-        self._owners: dict[str, str] = {}
         self.wal = wal
-        self._admission = (AdmissionQueue(admission_capacity)
-                           if admission_capacity is not None else None)
         self.stats = ServerStats(registry=self.obs.registry)
         self.quarantine = QuarantineStore(capacity=quarantine_capacity,
                                           journal=self.obs.journal,
                                           registry=self.obs.registry)
+        # The decoder is this module's binding, read at construction,
+        # so instrumentation that wraps it reaches the pipeline.
+        self._pipeline = IngestPipeline(
+            self.stats, self.obs.journal, self.quarantine, self._land,
+            lambda n: self.obs.tracer.span("shard.ingest_batch", batch=n),
+            wal=wal, admission_capacity=admission_capacity,
+            decode=decode_bundle_columns)
         self._cache = (
             QueryResultCache(cache_size, registry=self.obs.registry,
                              journal=self.obs.journal)
@@ -388,90 +390,20 @@ class ShardedCloudServer:
 
     def ingest(self, fovs: list[RepresentativeFoV]) -> int:
         """Directly index already-decoded records (dataset loading)."""
-        self._check_fleet_up()
         self._validate_geometry(fovs)
-        n = self._ingest_parts(self.partitioner.split(fovs))
-        self.stats._records_indexed.inc(n)
-        return n
+        return self._land(fovs)
 
     def ingest_bundle(self, payload: bytes,
                       device_id: str | None = None) -> IngestOutcome:
         """Ingest one delivered bundle; never raises on bad payloads.
 
-        Same acknowledgement contract as the single server
-        (:meth:`repro.core.server.CloudServer.ingest_bundle`), with
-        fleet-wide exactly-once semantics: the content digest is
-        *reserved* before decoding, so a concurrent byte-identical
-        redelivery acks ``DUPLICATE`` instead of double-indexing; a
-        rejected payload releases its reservation (redelivering a bad
-        payload deterministically rejects again).
+        A commit group of one (:meth:`ingest_batch`) under the single
+        server's contract
+        (:meth:`repro.core.server.CloudServer.ingest_bundle`); dedup is
+        fleet-wide, by content digest, before any shard is touched.
         """
         with self.obs.tracer.span("shard.ingest_bundle", bytes=len(payload)):
-            if self._admission is not None and not self._admission.try_admit():
-                return self._shed_outcome(payload)
-            try:
-                return self._ingest_one(payload, device_id)
-            finally:
-                if self._admission is not None:
-                    self._admission.release()
-
-    def _shed_outcome(self, payload: bytes) -> IngestOutcome:
-        digest = hashlib.sha256(payload).hexdigest()
-        self.stats._shed.inc()
-        self.obs.journal.emit("ingest.shed", digest=digest)
-        return IngestOutcome(status=IngestStatus.SHED,
-                             records_indexed=0, digest=digest,
-                             reason="admission queue full")
-
-    def _wal_append(self, payloads: list[bytes]) -> None:
-        """Buffered appends plus exactly one fsync for a commit group."""
-        if self.wal is None:
-            raise RuntimeError("WAL append on a router without a WAL")
-        for payload in payloads:
-            self.wal.append(payload)
-            self.stats._wal_appends.inc()
-            self.stats._wal_bytes.inc(len(payload) + ENTRY_OVERHEAD)
-        self.wal.commit()
-        self.stats._wal_syncs.inc()
-
-    def _ingest_one(self, payload: bytes,
-                    device_id: str | None) -> IngestOutcome:
-        self._check_fleet_up()
-        digest = hashlib.sha256(payload).hexdigest()
-        with self._ingest_lock:
-            if digest in self._seen_digests:
-                self.stats._duplicated.inc()
-                self.obs.journal.emit("ingest.duplicate", digest=digest)
-                return IngestOutcome(status=IngestStatus.DUPLICATE,
-                                     records_indexed=0, digest=digest)
-            self._seen_digests.add(digest)
-        try:
-            video_id, fovs = decode_bundle(payload)
-            self._validate_geometry(fovs)
-        except ValueError as exc:
-            with self._ingest_lock:
-                self._seen_digests.discard(digest)
-            self.stats._rejected.inc()
-            self.quarantine.add(payload, str(exc))
-            self.obs.journal.emit("ingest.rejected", digest=digest,
-                                  reason=str(exc))
-            return IngestOutcome(status=IngestStatus.REJECTED,
-                                 records_indexed=0, digest=digest,
-                                 reason=str(exc))
-        if self.wal is not None:
-            self._wal_append([payload])
-        n = self._ingest_parts(self.partitioner.split(fovs))
-        if device_id is not None:
-            with self._ingest_lock:
-                self._owners[video_id] = device_id
-        self.stats._accepted.inc()
-        self.stats._records_indexed.inc(n)
-        self.stats._bytes_in.inc(len(payload))
-        self.obs.journal.emit("ingest.accepted", digest=digest,
-                              video_id=video_id, records=n)
-        return IngestOutcome(status=IngestStatus.ACCEPTED,
-                             records_indexed=n, digest=digest,
-                             video_id=video_id)
+            return self.ingest_batch([payload], [device_id])[0]
 
     def ingest_batch(self, payloads: list[bytes],
                      device_ids: list[str | None] | None = None,
@@ -484,133 +416,31 @@ class ShardedCloudServer:
         group's records as a single ``insert_many`` -- one epoch bump
         per *shard* per group instead of per bundle.  Under
         back-pressure the tail beyond the free capacity is ``SHED``.
+        Refused with :class:`ShardUnavailableError` while any shard is
+        down.
         """
-        return self._ingest_group(payloads, device_ids,
-                                  durable=self.wal is not None,
-                                  admit=True)
-
-    def _ingest_group(self, payloads: list[bytes],
-                      device_ids: list[str | None] | None,
-                      *, durable: bool, admit: bool,
-                      replaying: bool = False) -> list[IngestOutcome]:
-        if device_ids is None:
-            device_ids = [None] * len(payloads)
-        if len(device_ids) != len(payloads):
-            raise ValueError("device_ids must match payloads one to one")
         self._check_fleet_up()
-        with self.obs.tracer.span("shard.ingest_batch", batch=len(payloads)):
-            admitted = len(payloads)
-            if admit and self._admission is not None:
-                admitted = self._admission.try_admit(len(payloads))
-            try:
-                outcomes: list[IngestOutcome | None] = [None] * len(payloads)
-                group: list[tuple[int, str, str | None, bytes,
-                                  BundleColumns]] = []
-                for pos, (payload, dev) in enumerate(
-                        zip(payloads[:admitted], device_ids[:admitted])):
-                    digest = hashlib.sha256(payload).hexdigest()
-                    with self._ingest_lock:
-                        if digest in self._seen_digests:
-                            self.stats._duplicated.inc()
-                            self.obs.journal.emit("ingest.duplicate",
-                                                  digest=digest)
-                            outcomes[pos] = IngestOutcome(
-                                status=IngestStatus.DUPLICATE,
-                                records_indexed=0, digest=digest)
-                            continue
-                        self._seen_digests.add(digest)
-                    try:
-                        # Wire decode already proves every coordinate
-                        # finite and in range, so the separate
-                        # geometry pass of the record path is not
-                        # needed here.
-                        columns = decode_bundle_columns(payload)
-                    except ValueError as exc:
-                        with self._ingest_lock:
-                            self._seen_digests.discard(digest)
-                        self.stats._rejected.inc()
-                        self.quarantine.add(payload, str(exc))
-                        self.obs.journal.emit("ingest.rejected",
-                                              digest=digest, reason=str(exc))
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.REJECTED,
-                            records_indexed=0, digest=digest,
-                            reason=str(exc))
-                        continue
-                    group.append((pos, digest, dev, payload, columns))
-                if group:
-                    if durable:
-                        self._wal_append([p for _, _, _, p, _ in group])
-                    merged: list[RepresentativeFoV] = []
-                    for _, _, _, _, columns in group:
-                        merged.extend(columns.records())
-                    n = self._ingest_parts(self.partitioner.split(merged))
-                    self.stats._records_indexed.inc(n)
-                    for pos, digest, dev, payload, columns in group:
-                        if dev is not None:
-                            with self._ingest_lock:
-                                self._owners[columns.video_id] = dev
-                        self.stats._accepted.inc()
-                        self.stats._bytes_in.inc(len(payload))
-                        if replaying:
-                            self.stats._wal_replayed.inc()
-                        self.obs.journal.emit("ingest.accepted",
-                                              digest=digest,
-                                              video_id=columns.video_id,
-                                              records=len(columns))
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.ACCEPTED,
-                            records_indexed=len(columns), digest=digest,
-                            video_id=columns.video_id)
-            finally:
-                if admit and self._admission is not None and admitted:
-                    self._admission.release(admitted)
-            for pos in range(admitted, len(payloads)):
-                outcomes[pos] = self._shed_outcome(payloads[pos])
-            done = [o for o in outcomes if o is not None]
-            if len(done) != len(payloads):
-                raise RuntimeError(
-                    f"commit group produced {len(done)} outcomes for "
-                    f"{len(payloads)} payloads")
-            return done
+        return self._pipeline.run(payloads, device_ids)
+
+    def _land(self, records: list[RepresentativeFoV]) -> int:
+        """Partition and index validated records; the ingest pipeline's
+        sink (wire decode already proved the geometry finite)."""
+        self._check_fleet_up()
+        n = self._ingest_parts(self.partitioner.split(records))
+        self.stats._records_indexed.inc(n)
+        return n
 
     def replay_wal(self, path: "str | None" = None) -> int:
-        """Recover bundles from a write-ahead log after a crash.
-
-        Same contract as the single server's
-        (:meth:`repro.core.server.CloudServer.replay_wal`): re-offers
-        committed payloads without re-appending, deduplicates the ones
-        that landed before the crash, and returns how many were newly
-        indexed.
-        """
-        if path is None:
-            if self.wal is None:
-                raise ValueError("no WAL configured and no path given")
-            path = self.wal.path
-        payloads = wal_replay(path)
-        outcomes = self._ingest_group(payloads, None, durable=False,
-                                      admit=False, replaying=True)
-        recovered = sum(1 for o in outcomes
-                        if o.status is IngestStatus.ACCEPTED)
-        self.obs.journal.emit("ingest.wal_replay", offered=len(payloads),
-                              recovered=recovered)
-        return recovered
+        """Recover bundles from a write-ahead log after a crash; same
+        contract as :meth:`repro.core.server.CloudServer.replay_wal`."""
+        self._check_fleet_up()
+        return self._pipeline.replay(path)
 
     def make_uploader(self, channel: FaultyChannel,
                       policy: RetryPolicy | None = None) -> RetryingUploader:
-        """A retrying uploader wired to this router's ingest path.
-
-        Same contract as the single server's
-        (:meth:`repro.core.server.CloudServer.make_uploader`):
-        retransmissions count into ``stats.bundles_retried``.
-        """
-        def _on_retry() -> None:
-            self.stats._retried.inc()
-
-        return RetryingUploader(channel, self.ingest_bundle, policy=policy,
-                                on_retry=_on_retry,
-                                registry=self.obs.registry,
-                                journal=self.obs.journal)
+        """A retrying uploader wired to this router's ingest path; same
+        contract as :meth:`repro.core.server.CloudServer.make_uploader`."""
+        return self._pipeline.uploader(channel, self.ingest_bundle, policy)
 
     def evict_older_than(self, cutoff_t: float) -> int:
         """Enforce a retention window fleet-wide; returns the count.

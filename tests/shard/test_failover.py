@@ -107,7 +107,7 @@ def test_kill_promote_is_bit_identical_to_control(victim):
         assert rows(srv.query(q)) == rows(ctrl.query(q))
     assert (sorted(r.key() for r in srv.records())
             == sorted(r.key() for r in ctrl.records()))
-    assert srv._seen_digests == ctrl._seen_digests
+    assert srv._pipeline.seen_digests == ctrl._pipeline.seen_digests
 
 
 def test_down_shard_is_fail_stop():
